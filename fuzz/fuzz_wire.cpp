@@ -5,17 +5,76 @@
 // error — never a crash, never an allocation driven by an unvalidated
 // length (ASan enforces the memory half when the harness is built with
 // sanitizers).
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string_view>
 
 #include "fuzz_common.h"
+#include "net/frame_io.h"
 #include "net/wire.h"
 
 using namespace fpss::net;
 
+namespace {
+
+constexpr std::uint8_t kSelectors = 13;
+
+/// Selector 12: the input replayed as a byte stream through the buffered
+/// FrameReader. Layout: k = first byte % 16, then k split lengths (each
+/// byte + 1), used cyclically as the sizes of successive deliveries, then
+/// the stream itself. Every frame the reader yields must carry a header
+/// that validates and a payload that matches it; the only writable space
+/// it ever offers is the fixed buffer or one validated payload.
+void replay_stream(std::string_view input) {
+  if (input.empty()) return;
+  const std::size_t k = std::min<std::size_t>(
+      static_cast<std::uint8_t>(input[0]) % 16, input.size() - 1);
+  const std::string_view splits = input.substr(1, k);
+  const std::string_view stream = input.substr(1 + k);
+  // A tight payload limit makes the exact-allocation path (frames larger
+  // than the buffer) reachable from fuzzer-sized inputs.
+  WireLimits limits;
+  limits.max_payload_bytes = 4 * FrameReader::kBufferBytes;
+  const std::size_t max_space =
+      std::max<std::size_t>(FrameReader::kBufferBytes, limits.max_payload_bytes);
+  FrameReader reader(limits);
+  std::size_t fed = 0;
+  std::size_t delivery = 0;
+  for (;;) {
+    Frame frame;
+    const FrameReader::Status status = reader.next(frame);
+    if (status == FrameReader::Status::kRejected) return;
+    if (status == FrameReader::Status::kFrame) {
+      if (frame.payload.size() != frame.header.payload_bytes ||
+          frame.header.payload_bytes > limits.max_payload_bytes ||
+          !payload_checksum_ok(frame.header, frame.payload))
+        std::abort();
+      continue;
+    }
+    if (fed == stream.size()) return;
+    const std::span<char> space = reader.space();
+    if (space.empty() || space.size() > max_space) std::abort();
+    std::size_t want = stream.size() - fed;
+    if (!splits.empty())
+      want = static_cast<std::size_t>(
+                 static_cast<std::uint8_t>(splits[delivery % splits.size()])) +
+             1;
+    ++delivery;
+    const std::size_t n = std::min({want, space.size(), stream.size() - fed});
+    std::memcpy(space.data(), stream.data() + fed, n);
+    reader.commit(n);
+    fed += n;
+  }
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  const std::uint8_t selector = data[0] % 12;
+  const std::uint8_t selector = data[0] % kSelectors;
   const std::string_view payload(reinterpret_cast<const char*>(data + 1),
                                  size - 1);
   const WireLimits limits;  // the defaults every server/client starts from
@@ -78,6 +137,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       decode_counters(payload, out);
       break;
     }
+    case 12:
+      replay_stream(payload);
+      break;
     default:
       break;
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "net/frame_io.h"
 #include "net/wire.h"
 #include "service/replication.h"
 #include "service/service.h"
@@ -143,6 +144,26 @@ int main(int argc, char** argv) {
       ok = write_file(root / "wire" / names[s],
                       wire_seed(s, payloads[s])) &&
            ok;
+
+    // Selector 12 replays a byte stream through the buffered FrameReader:
+    // a split-length prefix (count, then lengths - 1), then frames. One
+    // seed of small pipelined frames delivered 1, 7 and 20 bytes at a
+    // time, one whose single frame outgrows the 16 KiB receive buffer.
+    std::string small_stream("\x03\x00\x06\x13", 4);
+    append_frame(small_stream, FrameType::kHello, encode_hello(hello));
+    append_frame(small_stream, FrameType::kQueryBatch,
+                 encode_requests(requests));
+    append_frame(small_stream, FrameType::kReplyBatch,
+                 encode_replies(replies));
+    append_frame(small_stream, FrameType::kDrain, "");
+    ok = write_file(root / "wire" / "stream", wire_seed(12, small_stream)) &&
+         ok;
+    std::string large_stream("\x01\xff", 2);
+    append_frame(large_stream, FrameType::kSnapshotChunk,
+                 std::string(FrameReader::kBufferBytes + 64, 's'));
+    ok = write_file(root / "wire" / "stream_large",
+                    wire_seed(12, large_stream)) &&
+         ok;
   }
 
   // --- snapshot seed: a real fpss-snap v4 image -----------------------------

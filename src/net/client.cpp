@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,66 +16,6 @@
 namespace fpss::net {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int next_slice_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return static_cast<int>(left < 100 ? left : 100);
-}
-
-enum class IoResult { kOk, kClosed, kTimeout, kError };
-
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms) {
-  std::size_t got = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (got < want) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return IoResult::kTimeout;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::kError;
-    }
-    if (ready == 0) continue;
-    const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
-    if (n == 0) return IoResult::kClosed;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return IoResult::kError;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return IoResult::kOk;
-}
-
-bool write_all(int fd, std::string_view bytes, int timeout_ms) {
-  std::size_t sent = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (sent < bytes.size()) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return false;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 ClientError make_error(ClientStatus status, std::string message) {
   ClientError e;
@@ -109,17 +48,17 @@ const char* to_string(ClientStatus status) {
   return "unknown";
 }
 
-RouteClient::RouteClient(ClientConfig config) : config_(std::move(config)) {
+RouteClient::RouteClient(ClientConfig config)
+    : config_(std::move(config)), stream_(config_.limits) {
   if (config_.connect_attempts == 0) config_.connect_attempts = 1;
 }
 
 RouteClient::~RouteClient() { close(); }
 
 void RouteClient::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (stream_.fd() >= 0) ::close(stream_.fd());
+  // Unread bytes belong to the dead connection; a redial starts clean.
+  stream_.reset(-1);
   outstanding_ = 0;
   subscribed_ = false;
 }
@@ -147,7 +86,7 @@ ClientError RouteClient::dial_once() {
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
+  stream_.reset(fd);
   return {};
 }
 
@@ -178,11 +117,11 @@ ClientError RouteClient::handshake() {
   hello.max_batch = config_.limits.max_batch;
   ClientError err = send_frame(FrameType::kHello, encode_hello(hello));
   if (!err.ok()) return err;
-  std::string payload;
-  err = receive_frame(FrameType::kHelloAck, payload);
+  Frame frame;
+  err = receive_frame(FrameType::kHelloAck, frame);
   if (!err.ok()) return err;
   HelloAck ack;
-  if (!decode_hello_ack(payload, ack)) {
+  if (!decode_hello_ack(frame.payload, ack)) {
     close();
     return make_error(ClientStatus::kProtocolError, "bad hello ack payload");
   }
@@ -199,68 +138,53 @@ ClientError RouteClient::send_frame(FrameType type, std::string_view payload) {
   if (subscribed_ && type != FrameType::kSubscribe)
     return make_error(ClientStatus::kUnexpectedFrame,
                       "connection is subscribed; only await_notify() is valid");
-  const std::string frame = encode_frame(type, payload);
-  if (!write_all(fd_, frame, config_.io_timeout_ms)) {
+  if (!stream_.write(type, payload, config_.io_timeout_ms)) {
     close();
     return make_error(ClientStatus::kTimeout, "frame send timed out");
   }
   return {};
 }
 
-ClientError RouteClient::receive_frame(FrameType expected,
-                                       std::string& payload) {
+ClientError RouteClient::receive_frame(FrameType expected, Frame& frame,
+                                       int idle_ms) {
   if (!connected())
     return make_error(ClientStatus::kNotConnected, "receive before connect()");
-  char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes,
-                     config_.io_timeout_ms)) {
-    case IoResult::kOk:
+  switch (stream_.read(frame, config_.io_timeout_ms, nullptr, idle_ms)) {
+    case FrameStream::ReadStatus::kFrame:
       break;
-    case IoResult::kTimeout:
+    case FrameStream::ReadStatus::kIdle:
+      // Silence before a frame began: the connection is intact.
+      return make_error(ClientStatus::kTimeout, "no frame yet");
+    case FrameStream::ReadStatus::kTimeout:
       close();
-      return make_error(ClientStatus::kTimeout, "reply header timed out");
-    case IoResult::kClosed:
+      return make_error(ClientStatus::kTimeout, "reply timed out");
+    case FrameStream::ReadStatus::kClosed:
       close();
       return make_error(ClientStatus::kConnectionLost,
                         "server closed the connection");
-    case IoResult::kError:
+    case FrameStream::ReadStatus::kRejected: {
+      ClientError err = make_error(ClientStatus::kProtocolError,
+                                   stream_.reader().rejection());
+      close();
+      return err;
+    }
+    case FrameStream::ReadStatus::kStopped:
+    case FrameStream::ReadStatus::kError:
       close();
       return make_error(ClientStatus::kConnectionLost,
-                        std::string("recv: ") + std::strerror(errno));
+                        "connection lost mid-frame");
   }
-  const HeaderResult head = decode_frame_header(
-      std::string_view(header_bytes, kFrameHeaderBytes), config_.limits);
-  if (!head.ok()) {
-    close();
-    return make_error(ClientStatus::kProtocolError, head.error);
-  }
-  payload.assign(head.header.payload_bytes, '\0');
-  if (head.header.payload_bytes > 0) {
-    const IoResult io = read_exact(fd_, payload.data(), payload.size(),
-                                   config_.io_timeout_ms);
-    if (io != IoResult::kOk) {
-      close();
-      return make_error(io == IoResult::kTimeout ? ClientStatus::kTimeout
-                                                 : ClientStatus::kConnectionLost,
-                        "reply payload truncated");
-    }
-  }
-  if (!payload_checksum_ok(head.header, payload)) {
-    close();
-    return make_error(ClientStatus::kProtocolError,
-                      "reply payload checksum mismatch");
-  }
-  if (head.header.type == FrameType::kError) {
+  if (frame.header.type == FrameType::kError) {
     ErrorFrame server_error;
     ClientError err = make_error(ClientStatus::kServerError, "server error");
-    if (decode_error(payload, server_error)) {
+    if (decode_error(frame.payload, server_error)) {
       err.wire_status = server_error.code;
       err.message = server_error.message;
     }
     close();  // the server closes after an error frame; mirror it
     return err;
   }
-  if (head.header.type != expected) {
+  if (frame.header.type != expected) {
     // The frame itself is well-formed; the *sequence* is wrong. Typed
     // distinctly from byte-level corruption so callers can tell a desynced
     // pipeline from a corrupt stream; the connection still closes (an
@@ -292,13 +216,13 @@ QueryResult RouteClient::receive() {
         make_error(ClientStatus::kProtocolError, "receive() with no batch outstanding");
     return result;
   }
-  std::string payload;
-  result.error = receive_frame(FrameType::kReplyBatch, payload);
+  Frame reply;
+  result.error = receive_frame(FrameType::kReplyBatch, reply);
   // Counted down even on failure: the connection is closed and the
   // pipeline is gone either way.
   --outstanding_;
   if (!result.error.ok()) return result;
-  RepliesResult replies = decode_replies(payload, config_.limits);
+  RepliesResult replies = decode_replies(reply.payload, config_.limits);
   if (!replies.ok()) {
     close();
     result.error = make_error(ClientStatus::kProtocolError, replies.error);
@@ -312,11 +236,11 @@ CountersResult RouteClient::counters() {
   CountersResult result;
   result.error = send_frame(FrameType::kCountersFetch, {});
   if (!result.error.ok()) return result;
-  std::string payload;
-  result.error = receive_frame(FrameType::kCountersReply, payload);
+  Frame reply;
+  result.error = receive_frame(FrameType::kCountersReply, reply);
   if (!result.error.ok()) return result;
   CountersFrame frame;
-  if (!decode_counters(payload, frame)) {
+  if (!decode_counters(reply.payload, frame)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad counters payload");
@@ -334,11 +258,11 @@ SubmitResult RouteClient::submit_deltas(
   SubmitResult result;
   result.error = send_frame(FrameType::kDeltaSubmit, encode_deltas(deltas));
   if (!result.error.ok()) return result;
-  std::string payload;
-  result.error = receive_frame(FrameType::kDeltaAck, payload);
+  Frame reply;
+  result.error = receive_frame(FrameType::kDeltaAck, reply);
   if (!result.error.ok()) return result;
   DeltaAck ack;
-  if (!decode_delta_ack(payload, ack)) {
+  if (!decode_delta_ack(reply.payload, ack)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad delta ack payload");
@@ -353,10 +277,10 @@ U64Result RouteClient::drain() {
   U64Result result;
   result.error = send_frame(FrameType::kDrain, {});
   if (!result.error.ok()) return result;
-  std::string payload;
-  result.error = receive_frame(FrameType::kDrainReply, payload);
+  Frame reply;
+  result.error = receive_frame(FrameType::kDrainReply, reply);
   if (!result.error.ok()) return result;
-  if (!decode_u64(payload, result.value)) {
+  if (!decode_u64(reply.payload, result.value)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad drain reply payload");
@@ -376,18 +300,18 @@ SnapshotFetchResult RouteClient::fetch_snapshot(
   const std::uint64_t cap = std::uint64_t{config_.limits.max_payload_bytes} *
                             std::uint64_t{config_.limits.max_batch};
   for (;;) {
-    std::string payload;
-    result.error = receive_frame(FrameType::kSnapshotChunk, payload);
+    Frame reply;
+    result.error = receive_frame(FrameType::kSnapshotChunk, reply);
     if (!result.error.ok()) {
       result.chunks.clear();
       return result;
     }
-    result.bytes += payload.size();
+    result.bytes += reply.payload.size();
     const bool final_chunk =
-        !payload.empty() &&
-        static_cast<std::uint8_t>(payload[0]) ==
+        !reply.payload.empty() &&
+        static_cast<std::uint8_t>(reply.payload[0]) ==
             service::ReplicationCodec::kFinalChunk;
-    result.chunks.push_back(std::move(payload));
+    result.chunks.push_back(stream_.take_payload(reply));
     if (final_chunk) return result;
     if (result.bytes > cap) {
       close();
@@ -404,10 +328,10 @@ NotifyResult RouteClient::subscribe(std::uint64_t since) {
   result.error = send_frame(FrameType::kSubscribe, encode_u64(since));
   if (!result.error.ok()) return result;
   // The ack is the first notify, pushed immediately.
-  std::string payload;
-  result.error = receive_frame(FrameType::kPublishNotify, payload);
+  Frame reply;
+  result.error = receive_frame(FrameType::kPublishNotify, reply);
   if (!result.error.ok()) return result;
-  if (!decode_publish_notify(payload, result.notify)) {
+  if (!decode_publish_notify(reply.payload, result.notify)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad publish notify payload");
@@ -429,25 +353,14 @@ NotifyResult RouteClient::await_notify(int wait_ms) {
                               "await_notify() without a subscription");
     return result;
   }
-  // Pre-poll before touching receive_frame: a quiet wire is the normal
-  // case and must not close the subscription the way a mid-frame timeout
-  // would.
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, wait_ms < 0 ? 0 : wait_ms);
-  if (ready == 0) {
-    result.error = make_error(ClientStatus::kTimeout, "no notify yet");
-    return result;
-  }
-  if (ready < 0) {
-    close();
-    result.error = make_error(ClientStatus::kConnectionLost,
-                              std::string("poll: ") + std::strerror(errno));
-    return result;
-  }
-  std::string payload;
-  result.error = receive_frame(FrameType::kPublishNotify, payload);
+  // A quiet wire is the normal case and must not close the subscription
+  // the way a mid-frame timeout would; a notify already buffered (two can
+  // share one segment) comes back without touching the socket.
+  Frame reply;
+  result.error = receive_frame(FrameType::kPublishNotify, reply,
+                               wait_ms < 0 ? 0 : wait_ms);
   if (!result.error.ok()) return result;
-  if (!decode_publish_notify(payload, result.notify)) {
+  if (!decode_publish_notify(reply.payload, result.notify)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad publish notify payload");

@@ -5,7 +5,14 @@
 // known. query() is the blocking convenience; send()/receive() expose the
 // same exchange split in two so a caller can pipeline several batches on
 // one connection (the server answers frames strictly in order, so replies
-// come back FIFO).
+// come back FIFO — and, coalesced by the server, often in one segment).
+//
+// I/O goes through the same buffered net::FrameStream the server uses
+// (frame_io.h): one recv can bring several replies, and receive() hands
+// out the ones already buffered without a syscall. A reply that fits the
+// 16 KiB buffer is decoded in place; a larger one is read into an
+// allocation of exactly its validated length. close() drops whatever is
+// still buffered, so a redial starts clean.
 //
 // Errors are values, not exceptions: every operation fills a result whose
 // ClientStatus says what layer failed (connect, I/O timeout, protocol,
@@ -17,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "net/frame_io.h"
 #include "net/wire.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -123,7 +131,7 @@ class RouteClient {
   /// Dials (with backoff across attempts) and performs the hello
   /// handshake. Idempotent once connected.
   ClientError connect();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return stream_.fd() >= 0; }
   void close();
 
   // Learned from the HelloAck; valid after a successful connect().
@@ -165,7 +173,8 @@ class RouteClient {
   /// whose `coalesced` tells a re-subscriber how much it missed beyond
   /// `since` (its last-seen publish count).
   NotifyResult subscribe(std::uint64_t since);
-  /// Waits up to `wait_ms` for the next push. A quiet period returns
+  /// Waits up to `wait_ms` for the next push; a notify already buffered
+  /// returns at once, even with `wait_ms` = 0. A quiet period returns
   /// kTimeout with the connection *intact* — unlike every other timeout,
   /// silence is the expected steady state of a subscription.
   NotifyResult await_notify(int wait_ms);
@@ -177,11 +186,15 @@ class RouteClient {
   /// Sends one frame; on failure the connection is closed.
   ClientError send_frame(FrameType type, std::string_view payload);
   /// Reads one frame, decoding a kError frame into kServerError. On any
-  /// failure the connection is closed (a desynced stream is unusable).
-  ClientError receive_frame(FrameType expected, std::string& payload);
+  /// failure the connection is closed (a desynced stream is unusable) —
+  /// except that with `idle_ms` >= 0, silence for that long before a frame
+  /// begins returns kTimeout and keeps it open. `frame.payload` is valid
+  /// until the next read.
+  ClientError receive_frame(FrameType expected, Frame& frame,
+                            int idle_ms = -1);
 
   ClientConfig config_;
-  int fd_ = -1;
+  FrameStream stream_;  ///< holds the socket (fd -1 when not connected)
   std::uint64_t node_count_ = 0;
   std::uint64_t snapshot_version_ = 0;
   std::uint32_t server_max_batch_ = 0;

@@ -8,93 +8,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
+#include "net/frame_io.h"
 #include "service/replication.h"
 
 namespace fpss::net {
-
-namespace {
-
-enum class IoResult {
-  kOk,
-  kClosed,   ///< orderly EOF before the first byte
-  kTimeout,  ///< deadline expired mid-read
-  kStopped,  ///< server shutdown while idle between frames
-  kError,    ///< socket error
-};
-
-using Clock = std::chrono::steady_clock;
-
-/// Remaining budget in ms, clipped to the 100ms poll slice that keeps
-/// shutdown responsive.
-int next_slice_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return static_cast<int>(left < 100 ? left : 100);
-}
-
-/// Reads exactly `want` bytes. While still at byte zero the stop flag
-/// aborts the wait (the worker is idle between frames); once a frame has
-/// started arriving only the deadline can abort it — that is what lets a
-/// graceful shutdown finish in-flight frames.
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
-                    const std::atomic<bool>& stopping) {
-  std::size_t got = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (got < want) {
-    if (got == 0 && stopping.load(std::memory_order_relaxed))
-      return IoResult::kStopped;
-    pollfd pfd{fd, POLLIN, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return IoResult::kTimeout;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::kError;
-    }
-    if (ready == 0) continue;  // slice elapsed; re-check flags
-    const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
-    if (n == 0) return got == 0 ? IoResult::kClosed : IoResult::kError;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return IoResult::kError;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return IoResult::kOk;
-}
-
-/// Writes the whole buffer or gives up at the deadline (a peer that never
-/// reads must not pin a worker).
-bool write_all(int fd, std::string_view bytes, int timeout_ms) {
-  std::size_t sent = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (sent < bytes.size()) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return false;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 RouteServer::RouteServer(Backend& backend, ServerConfig config)
     : backend_(backend), config_(std::move(config)) {
@@ -199,10 +118,11 @@ RouteServer::Stats RouteServer::stats() const {
   for (const auto& [peer, tally] : peers_) {
     PeerCounters counters;
     counters.peer = peer;
-    counters.connections = tally.connections;
-    counters.queries = tally.queries;
-    counters.batches = tally.batches;
-    counters.rejected_frames = tally.rejected_frames;
+    counters.connections = tally.connections.load(std::memory_order_relaxed);
+    counters.queries = tally.queries.load(std::memory_order_relaxed);
+    counters.batches = tally.batches.load(std::memory_order_relaxed);
+    counters.rejected_frames =
+        tally.rejected_frames.load(std::memory_order_relaxed);
     s.peers.push_back(std::move(counters));
   }
   return s;
@@ -261,75 +181,71 @@ void RouteServer::serve_connection(int fd) {
       ::inet_ntop(AF_INET, &remote.sin_addr, addr, sizeof(addr)) != nullptr) {
     peer = addr;
   }
+  // Resolved once: map nodes are never erased, so the reference stays
+  // valid for the connection's lifetime, and its counters are atomics.
+  PeerTally* tally = nullptr;
   {
     util::MutexLock lock(peers_mutex_);
-    peer_tally(peer).connections += 1;
+    tally = &peer_tally(peer);
   }
-  while (serve_frame(fd, peer)) {
+  tally->connections.fetch_add(1, std::memory_order_relaxed);
+  FrameStream stream(config_.limits, fd);
+  while (serve_frame(stream, *tally)) {
   }
+  // Replies still queued when the loop ends (EOF right after a pipelined
+  // burst, or shutdown) are owed to the peer.
+  stream.flush(config_.read_timeout_ms);
   ::close(fd);
 }
 
-bool RouteServer::send_error(int fd, const std::string& peer, WireStatus code,
-                             const std::string& message) {
+bool RouteServer::send_error(FrameStream& stream, PeerTally& tally,
+                             WireStatus code, const std::string& message) {
   rejected_frames_.fetch_add(1, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(peers_mutex_);
-    peer_tally(peer).rejected_frames += 1;
-  }
-  const std::string frame =
-      encode_frame(FrameType::kError, encode_error({code, message}));
-  write_all(fd, frame, config_.read_timeout_ms);
+  tally.rejected_frames.fetch_add(1, std::memory_order_relaxed);
+  // Behind every reply already queued: the peer sees its answers in order,
+  // then the rejection, then the close.
+  stream.write(FrameType::kError, encode_error({code, message}),
+               config_.read_timeout_ms);
   return false;  // protocol errors always close the connection
 }
 
-bool RouteServer::serve_frame(int fd, const std::string& peer) {
-  // 1. Header: fixed 20 bytes, validated before the payload is allocated.
-  char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd, header_bytes, kFrameHeaderBytes,
-                     config_.read_timeout_ms, stopping_)) {
-    case IoResult::kOk:
+bool RouteServer::serve_frame(FrameStream& stream, PeerTally& tally) {
+  // 1. Read: the stream validates the header before the payload costs
+  //    anything beyond the fixed receive buffer, then the checksum.
+  Frame frame;
+  switch (stream.read(frame, config_.read_timeout_ms, &stopping_)) {
+    case FrameStream::ReadStatus::kFrame:
       break;
-    case IoResult::kClosed:   // peer finished; normal end of connection
-    case IoResult::kStopped:  // shutdown while idle between frames
-      return false;
-    case IoResult::kTimeout:
+    case FrameStream::ReadStatus::kRejected:
+      return send_error(stream, tally, stream.reader().rejection_status(),
+                        stream.reader().rejection());
+    case FrameStream::ReadStatus::kTimeout:
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       return false;
-    case IoResult::kError:
+    default:  // EOF, shutdown while idle between frames, socket error
       return false;
   }
-  const HeaderResult head = decode_frame_header(
-      std::string_view(header_bytes, kFrameHeaderBytes), config_.limits);
-  if (!head.ok()) return send_error(fd, peer, head.status, head.error);
+  const std::string_view payload = frame.payload;
 
-  // 2. Payload: size is now known-bounded, so allocating is safe.
-  std::string payload(head.header.payload_bytes, '\0');
-  if (head.header.payload_bytes > 0) {
-    switch (read_exact(fd, payload.data(), payload.size(),
-                       config_.read_timeout_ms, stopping_)) {
-      case IoResult::kOk:
-        break;
-      case IoResult::kTimeout:
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      default:
-        return false;
-    }
-  }
-  if (!payload_checksum_ok(head.header, payload))
-    return send_error(fd, peer, WireStatus::kMalformed, "payload checksum mismatch");
+  // 2. Replies are queued and go out in one send once the stream runs out
+  //    of buffered requests, so pipelined query replies coalesce. Every
+  //    other frame can block or stream, so what is already owed goes out
+  //    before it is dispatched.
+  const FrameType type = frame.header.type;
+  if (type != FrameType::kQueryBatch &&
+      !stream.flush(config_.read_timeout_ms))
+    return false;
 
   // 3. Dispatch. From here the frame is served to completion even if a
   //    shutdown starts concurrently — that is the drain guarantee.
-  std::string reply_frame;
-  switch (head.header.type) {
+  switch (type) {
     case FrameType::kHello: {
       Hello hello;
       if (!decode_hello(payload, hello))
-        return send_error(fd, peer, WireStatus::kMalformed, "bad hello payload");
+        return send_error(stream, tally, WireStatus::kMalformed,
+                          "bad hello payload");
       if (hello.wire_version != kWireVersion)
-        return send_error(fd, peer, WireStatus::kUnsupportedVersion,
+        return send_error(stream, tally, WireStatus::kUnsupportedVersion,
                           "client wire version " +
                               std::to_string(hello.wire_version) +
                               " unsupported");
@@ -339,97 +255,93 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       ack.snapshot_version = backend_.version();
       ack.max_batch = config_.limits.max_batch;
       ack.hop_count = backend_.hop_count();
-      reply_frame = encode_frame(FrameType::kHelloAck, encode_hello_ack(ack));
+      stream.append(FrameType::kHelloAck, encode_hello_ack(ack));
       break;
     }
     case FrameType::kQueryBatch: {
       const RequestsResult batch =
           decode_requests(payload, config_.limits.max_batch);
-      if (!batch.ok()) return send_error(fd, peer, batch.status, batch.error);
+      if (!batch.ok())
+        return send_error(stream, tally, batch.status, batch.error);
       const std::vector<service::Reply> replies = backend_.query(
           std::span<const service::Request>(batch.requests));
       batches_.fetch_add(1, std::memory_order_relaxed);
-      {
-        util::MutexLock lock(peers_mutex_);
-        PeerTally& tally = peer_tally(peer);
-        tally.queries += batch.requests.size();
-        tally.batches += 1;
-      }
-      reply_frame =
-          encode_frame(FrameType::kReplyBatch, encode_replies(replies));
+      tally.queries.fetch_add(batch.requests.size(),
+                              std::memory_order_relaxed);
+      tally.batches.fetch_add(1, std::memory_order_relaxed);
+      stream.append(FrameType::kReplyBatch, encode_replies(replies));
       break;
     }
     case FrameType::kCountersFetch: {
       ReplicaCounters replica;
       const bool is_replica = backend_.replica_counters(replica);
-      reply_frame = encode_frame(
-          FrameType::kCountersReply,
-          encode_counters(backend_.counters(), stats(),
-                          is_replica ? &replica : nullptr));
+      stream.append(FrameType::kCountersReply,
+                    encode_counters(backend_.counters(), stats(),
+                                    is_replica ? &replica : nullptr));
       break;
     }
     case FrameType::kDeltaSubmit: {
       if (!config_.allow_deltas)
-        return send_error(fd, peer, WireStatus::kBadFrameType,
+        return send_error(stream, tally, WireStatus::kBadFrameType,
                           "delta submission disabled on this server");
       const DeltasResult deltas =
           decode_deltas(payload, config_.limits.max_batch);
-      if (!deltas.ok()) return send_error(fd, peer, deltas.status, deltas.error);
+      if (!deltas.ok())
+        return send_error(stream, tally, deltas.status, deltas.error);
       const Backend::SubmitOutcome outcome = backend_.submit(deltas.deltas);
       switch (outcome.status) {
         case Backend::SubmitOutcome::Status::kOk:
           break;
         case Backend::SubmitOutcome::Status::kReadOnly:
-          return send_error(fd, peer, WireStatus::kBadFrameType,
+          return send_error(stream, tally, WireStatus::kBadFrameType,
                             "delta submission disabled on this server");
         case Backend::SubmitOutcome::Status::kOverloaded:
-          return send_error(fd, peer, WireStatus::kOverloaded,
+          return send_error(stream, tally, WireStatus::kOverloaded,
                             "forwarding queue full; retry later");
         case Backend::SubmitOutcome::Status::kUnavailable:
-          return send_error(fd, peer, WireStatus::kUpstreamDown,
+          return send_error(stream, tally, WireStatus::kUpstreamDown,
                             "no upstream reachable; write not applied");
       }
       DeltaAck ack;
       ack.accepted = outcome.accepted;
       ack.publish_count = outcome.publish_count;
-      reply_frame = encode_frame(FrameType::kDeltaAck, encode_delta_ack(ack));
+      stream.append(FrameType::kDeltaAck, encode_delta_ack(ack));
       break;
     }
     case FrameType::kDrain: {
-      reply_frame =
-          encode_frame(FrameType::kDrainReply, encode_u64(backend_.drain()));
+      stream.append(FrameType::kDrainReply, encode_u64(backend_.drain()));
       break;
     }
     case FrameType::kSnapshotFetch: {
       const ShardVersionsResult fetch = decode_shard_versions(payload);
-      if (!fetch.ok()) return send_error(fd, peer, fetch.status, fetch.error);
+      if (!fetch.ok())
+        return send_error(stream, tally, fetch.status, fetch.error);
       frames_.fetch_add(1, std::memory_order_relaxed);
-      return serve_snapshot_fetch(fd, peer, fetch.versions);
+      return serve_snapshot_fetch(stream, tally, fetch.versions);
     }
     case FrameType::kSubscribe: {
       std::uint64_t since = 0;
       if (!decode_u64(payload, since))
-        return send_error(fd, peer, WireStatus::kMalformed,
+        return send_error(stream, tally, WireStatus::kMalformed,
                           "bad subscribe payload");
       frames_.fetch_add(1, std::memory_order_relaxed);
-      return serve_subscription(fd, since);
+      return serve_subscription(stream, since);
     }
     default:
       // Server-to-client types (HelloAck, ReplyBatch, ...) and kError are
       // never valid requests.
-      return send_error(fd, peer, WireStatus::kBadFrameType,
+      return send_error(stream, tally, WireStatus::kBadFrameType,
                         "frame type not valid as a request");
   }
 
-  if (!write_all(fd, reply_frame, config_.read_timeout_ms)) return false;
   frames_.fetch_add(1, std::memory_order_relaxed);
-  // Stop taking new frames once shutdown began; the reply above completes
-  // the in-flight exchange.
+  // Stop taking new frames once shutdown began; the reply queued above
+  // completes the in-flight exchange (serve_connection flushes it).
   return !stopping_.load(std::memory_order_relaxed);
 }
 
 bool RouteServer::serve_snapshot_fetch(
-    int fd, const std::string& peer,
+    FrameStream& stream, PeerTally& tally,
     const std::vector<std::uint64_t>& known) {
   // Keep the shared_ptr for the whole transfer: a replica backend may swap
   // its store out concurrently, and this reference is what keeps the old
@@ -437,11 +349,11 @@ bool RouteServer::serve_snapshot_fetch(
   const std::shared_ptr<const service::ShardedSnapshotStore> store =
       backend_.store();
   if (store == nullptr)
-    return send_error(fd, peer, WireStatus::kBadFrameType,
+    return send_error(stream, tally, WireStatus::kBadFrameType,
                       "snapshot fetch unsupported by this backend");
   const service::ShardedSnapshotStore::ExportCut cut = store->export_cut();
   if (cut.newest == nullptr)
-    return send_error(fd, peer, WireStatus::kShuttingDown,
+    return send_error(stream, tally, WireStatus::kShuttingDown,
                       "no snapshot published yet");
   const std::size_t shard_count = cut.shard_versions.size();
   // The dirty set: shards whose slot version moved since the replica's
@@ -461,10 +373,10 @@ bool RouteServer::serve_snapshot_fetch(
                      cut.shard_versions[s]);
     for (const std::string& chunk : chunks) {
       if (chunk.size() > config_.limits.max_payload_bytes)
-        return send_error(fd, peer, WireStatus::kOversized,
+        return send_error(stream, tally, WireStatus::kOversized,
                           "shard chunk exceeds the frame payload limit");
-      if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, chunk),
-                     config_.read_timeout_ms))
+      if (!stream.write(FrameType::kSnapshotChunk, chunk,
+                        config_.read_timeout_ms))
         return false;
       frames_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -472,16 +384,17 @@ bool RouteServer::serve_snapshot_fetch(
   const std::string final_chunk = service::ReplicationCodec::encode_final(
       *cut.newest, cut.shard_versions, dirty);
   if (final_chunk.size() > config_.limits.max_payload_bytes)
-    return send_error(fd, peer, WireStatus::kOversized,
+    return send_error(stream, tally, WireStatus::kOversized,
                       "final chunk exceeds the frame payload limit");
-  if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, final_chunk),
-                 config_.read_timeout_ms))
+  if (!stream.write(FrameType::kSnapshotChunk, final_chunk,
+                    config_.read_timeout_ms))
     return false;
   frames_.fetch_add(1, std::memory_order_relaxed);
   return !stopping_.load(std::memory_order_relaxed);
 }
 
-bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
+bool RouteServer::serve_subscription(FrameStream& stream,
+                                     std::uint64_t since) {
   // The connection is now a push channel: this worker is pinned to it
   // until the peer closes, a write fails, or the server stops. The notify
   // "queue" is depth one by construction — each iteration reads the
@@ -491,10 +404,12 @@ bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
   std::uint64_t last = since;
   bool first = true;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    // Liveness check: a subscribed peer sends nothing, so any readable
-    // byte is either EOF (normal teardown) or a protocol violation; both
-    // end the subscription.
-    pollfd pfd{fd, POLLIN, 0};
+    // Liveness check: a subscribed peer sends nothing, so any byte — one
+    // already buffered behind the kSubscribe frame, or a readable socket —
+    // is either EOF (normal teardown) or a protocol violation; both end
+    // the subscription.
+    if (!stream.reader().at_boundary()) return false;
+    pollfd pfd{stream.fd(), POLLIN, 0};
     if (::poll(&pfd, 1, 0) > 0) return false;
     // The first notify is the subscription ack: sent immediately, telling
     // a late or re-connecting subscriber how far behind `since` it is.
@@ -507,9 +422,8 @@ bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
     notify.published_at_ns = backend_.published_at_ns();
     notify.publish_count = count;
     notify.coalesced = count > last + 1 ? count - last - 1 : 0;
-    if (!write_all(fd, encode_frame(FrameType::kPublishNotify,
-                                    encode_publish_notify(notify)),
-                   config_.read_timeout_ms))
+    if (!stream.write(FrameType::kPublishNotify,
+                      encode_publish_notify(notify), config_.read_timeout_ms))
       return false;
     frames_.fetch_add(1, std::memory_order_relaxed);
     last = count;

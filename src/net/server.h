@@ -1,22 +1,34 @@
-// net::RouteServer: the blocking TCP front end that turns a RouteService
-// into a daemon speaking fpss-wire v1.
+// net::RouteServer: the TCP front end that turns a RouteService into a
+// daemon speaking fpss-wire v1.
 //
 // Shape: one accept thread plus a small worker pool. Accepted connections
-// are queued; each worker serves one connection at a time, frame by frame
-// (read header -> validate before allocating -> read payload -> checksum
-// -> dispatch), so a request batch is answered by exactly the same
-// service::answer() evaluation a local caller gets — the snapshot store's
-// RCU read path makes the workers just more reader threads.
+// are queued; each worker serves one connection at a time through a
+// buffered net::FrameStream (frame_io.h): recv-first reads into a fixed
+// 16 KiB buffer, header validated before anything payload-sized is
+// allocated, checksum, dispatch. A request batch is answered by exactly
+// the same service::answer() evaluation a local caller gets — the
+// snapshot store's RCU read path makes the workers just more reader
+// threads.
+//
+// Replies to pipelined kQueryBatch frames are coalesced: each is appended
+// to the connection's output buffer and the buffer goes out in one send
+// once no complete request is left buffered. Every other frame
+// (hello, deltas, drain, counters, snapshot fetch, subscribe) first
+// flushes what is owed, and so does every kError and the end of a
+// connection, so replies stay strictly FIFO.
 //
 // Robustness contract (pinned by test_net.cpp under ASan):
 //   * a frame is rejected from its 20-byte header alone when the magic,
 //     version, type, or length is wrong — the payload is never allocated;
+//     the only memory a peer can claim before that is the fixed buffer;
 //   * oversized batches and undecodable payloads get a typed kError frame
-//     and the connection is closed;
-//   * per-connection reads time out (poll with a deadline), so a stalled
-//     peer cannot pin a worker forever;
+//     (behind any replies already owed) and the connection is closed;
+//   * per-connection reads time out (poll with a deadline, entered only
+//     when the socket has nothing buffered), so a stalled peer cannot pin
+//     a worker forever;
 //   * stop() is graceful: the listener closes first, workers finish the
-//     frame they are serving (in-flight batches drain), then join.
+//     frame they are serving (in-flight batches drain, queued replies are
+//     flushed), then join.
 //
 // The server fronts a net::Backend (see backend.h) — a local
 // RouteService via the ServiceBackend adapter, or a ReplicaService. Two
@@ -43,14 +55,17 @@
 
 namespace fpss::net {
 
+class FrameStream;
+
 struct ServerConfig {
   /// Address to bind. The default stays on loopback: the protocol has no
   /// authentication, so exposing it wider is an explicit operator choice.
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via port())
   unsigned workers = 4;
-  /// How long a worker waits for the rest of a frame before giving up on
-  /// the connection.
+  /// How long a worker waits on a silent peer — for the next frame or
+  /// the rest of one, or for it to take queued replies — before giving up
+  /// on the connection.
   int read_timeout_ms = 5000;
   WireLimits limits;
   /// Accept kDeltaSubmit frames (a pure read replica would say no).
@@ -91,16 +106,18 @@ class RouteServer {
   void stop();
 
  private:
-  /// Per-peer tallies live behind peers_mutex_ (written per served frame,
-  /// read by stats()); keyed by the peer's textual address. Bounded: once
-  /// kMaxPeers distinct addresses exist, further ones account under
-  /// "(other)" — a scanner cycling source addresses must not grow server
-  /// memory without bound.
+  /// Per-peer tallies, keyed by the peer's textual address. The map is
+  /// behind peers_mutex_; a connection resolves its tally once and then
+  /// bumps the relaxed atomics without the lock (map nodes are never
+  /// erased, so the reference stays valid). Bounded: once kMaxPeers
+  /// distinct addresses exist, further ones account under "(other)" — a
+  /// scanner cycling source addresses must not grow server memory without
+  /// bound.
   struct PeerTally {
-    std::uint64_t connections = 0;
-    std::uint64_t queries = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t rejected_frames = 0;
+    std::atomic<std::uint64_t> connections{0};
+    std::atomic<std::uint64_t> queries{0};
+    std::atomic<std::uint64_t> batches{0};
+    std::atomic<std::uint64_t> rejected_frames{0};
   };
   static constexpr std::size_t kMaxPeers = 256;
 
@@ -109,19 +126,21 @@ class RouteServer {
   void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
-  /// One request/reply exchange; returns false when the connection should
-  /// close (EOF, timeout, protocol error, shutdown). `peer` is the
-  /// connection's accounting key.
-  bool serve_frame(int fd, const std::string& peer);
+  /// One request frame; returns false when the connection should close
+  /// (EOF, timeout, protocol error, shutdown). `tally` is the peer's
+  /// accounting entry, resolved once per connection.
+  bool serve_frame(FrameStream& stream, PeerTally& tally);
   /// Streams the per-shard snapshot transfer for one kSnapshotFetch:
   /// data chunks for every shard whose version differs from `known`, then
   /// the final chunk. Returns false (close) on any write failure.
-  bool serve_snapshot_fetch(int fd, const std::string& peer,
+  bool serve_snapshot_fetch(FrameStream& stream, PeerTally& tally,
                             const std::vector<std::uint64_t>& known);
   /// The push loop a kSubscribe converts the connection into; returns only
   /// when the peer closes, a write fails, or the server stops.
-  bool serve_subscription(int fd, std::uint64_t since);
-  bool send_error(int fd, const std::string& peer, WireStatus code,
+  bool serve_subscription(FrameStream& stream, std::uint64_t since);
+  /// Queues a typed kError behind any pending replies, flushes, and
+  /// returns false (the connection closes).
+  bool send_error(FrameStream& stream, PeerTally& tally, WireStatus code,
                   const std::string& message);
   /// The tally this peer accounts under (the overflow bucket when the
   /// table is full).

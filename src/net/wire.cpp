@@ -54,7 +54,12 @@ constexpr std::uint8_t kDeltaRepublish = 4;
 
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
+  append_frame(out, type, payload);
+  return out;
+}
+
+void append_frame(std::string& out, FrameType type, std::string_view payload) {
+  out.reserve(out.size() + kFrameHeaderBytes + payload.size());
   append_u32(out, kWireMagic);
   append_u8(out, kWireVersion);
   append_u8(out, static_cast<std::uint8_t>(type));
@@ -62,7 +67,6 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   append_u32(out, static_cast<std::uint32_t>(payload.size()));
   append_u64(out, fnv_of(payload));
   out.append(payload);
-  return out;
 }
 
 HeaderResult decode_frame_header(std::string_view header_bytes,

@@ -107,6 +107,8 @@ struct HeaderResult {
 
 /// Builds a complete frame (header + payload).
 std::string encode_frame(FrameType type, std::string_view payload);
+/// Appends a complete frame to `out` (how a sender coalesces frames).
+void append_frame(std::string& out, FrameType type, std::string_view payload);
 
 /// Validates magic/version/length against `limits`. Exactly
 /// kFrameHeaderBytes must be passed; the payload has NOT been read yet —

@@ -1,15 +1,21 @@
 // The remote front end: fpss-wire codec fidelity (round-trips, truncation
 // and corruption rejection, pre-allocation bounds), client/server loopback
-// equivalence with the in-process query path, warm starts, and delta
-// coalescing — the suite the CI ASan job leans on for the "malformed
+// equivalence with the in-process query path, the buffered frame stream
+// (split frames, pipelined bursts, reply coalescing and flush order),
+// warm starts, and delta coalescing — the suite the CI ASan job leans on for the "malformed
 // frames are rejected without allocation or crash" acceptance bar.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -21,6 +27,7 @@
 #include "graphgen/fixtures.h"
 #include "mechanism/vcg.h"
 #include "net/client.h"
+#include "net/frame_io.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/protocol.h"
@@ -470,6 +477,159 @@ TEST(RouteServerNet, RemoteDeltasCountersAndDrain) {
   EXPECT_EQ(peer.rejected_frames, 0u);
 }
 
+// Per-peer tallies are resolved once per connection and bumped without
+// the table lock; concurrent clients plus a concurrent stats() reader must
+// still add up exactly.
+TEST(RouteServerNet, PeerTalliesStayExactUnderConcurrentClients) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+
+  constexpr int kClients = 4;
+  constexpr int kBatches = 200;
+  const std::vector<Request> batch{
+      {RequestKind::kCost, kInvalidNode, f.x, f.z},
+      {RequestKind::kPrice, f.d, f.x, f.z}};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) (void)server.stats();
+  });
+  std::vector<std::thread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      net::ClientConfig config;
+      config.port = server.port();
+      net::RouteClient client(config);
+      if (!client.connect().ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int b = 0; b < kBatches; ++b)
+        if (!client.query(batch).ok()) failures.fetch_add(1);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  reader.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const net::ServerCounters stats = server.stats();
+  ASSERT_EQ(stats.peers.size(), 1u);
+  EXPECT_EQ(stats.peers.front().connections,
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(stats.peers.front().batches,
+            static_cast<std::uint64_t>(kClients * kBatches));
+  EXPECT_EQ(stats.peers.front().queries,
+            static_cast<std::uint64_t>(kClients * kBatches) * batch.size());
+  EXPECT_EQ(stats.batches, static_cast<std::uint64_t>(kClients * kBatches));
+}
+
+// --- raw-socket helpers ---------------------------------------------------
+
+/// A raw loopback connection (reads time out after 5 s rather than hang a
+/// failing test).
+int dial_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  const timeval limit{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+/// One send(2) per call where the kernel takes it all (loopback, small
+/// bursts): the bytes reach the peer as one segment.
+void send_raw(int fd, std::string_view bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+bool recv_exact(int fd, char* out, std::size_t want) {
+  std::size_t got = 0;
+  while (got < want) {
+    const ssize_t n = ::recv(fd, out + got, want - got, 0);
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one frame the plain way: exact header, then exact payload.
+bool recv_raw_frame(int fd, net::Frame& frame, std::string& payload) {
+  char head[net::kFrameHeaderBytes];
+  if (!recv_exact(fd, head, sizeof(head))) return false;
+  const auto decoded =
+      net::decode_frame_header(std::string_view(head, sizeof(head)), {});
+  if (!decoded.ok()) return false;
+  payload.assign(decoded.header.payload_bytes, '\0');
+  if (!recv_exact(fd, payload.data(), payload.size())) return false;
+  if (!net::payload_checksum_ok(decoded.header, payload)) return false;
+  frame.header = decoded.header;
+  frame.payload = payload;
+  return true;
+}
+
+/// True once the peer has closed the connection (FIN or RST). A receive
+/// timeout is not a close: a peer that stops talking but keeps the
+/// connection open fails this check.
+bool peer_closed(int fd) {
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
+/// A loopback listener on an ephemeral port, for scripted fake servers.
+/// Returns the fd (or -1) and stores the port.
+int listen_raw(std::uint16_t& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 1) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+/// Accepts one client on `listener` and completes its hello handshake the
+/// way a scripted fake server does; returns the connection (or -1).
+int accept_with_handshake(int listener) {
+  const int fd = ::accept(listener, nullptr, nullptr);
+  net::Frame frame;
+  std::string payload;
+  if (fd < 0 || !recv_raw_frame(fd, frame, payload)) return -1;  // kHello
+  net::HelloAck ack;
+  ack.node_count = 4;
+  ack.snapshot_version = 1;
+  ack.max_batch = 64;
+  send_raw(fd, net::encode_frame(net::FrameType::kHelloAck,
+                                 net::encode_hello_ack(ack)));
+  return fd;
+}
+
 TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
   const auto f = graphgen::fig1();
   RouteService svc(f.g);
@@ -477,92 +637,56 @@ TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
   ASSERT_TRUE(server.ok());
 
   // Raw socket: speak deliberately broken fpss-wire at the server.
-  auto dial = [&]() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    return fd;
-  };
-  auto expect_error = [&](int fd, net::WireStatus code) {
-    std::string head(net::kFrameHeaderBytes, '\0');
-    std::size_t got = 0;
-    while (got < head.size()) {
-      const ssize_t n = ::recv(fd, head.data() + got, head.size() - got, 0);
-      ASSERT_GT(n, 0);
-      got += static_cast<std::size_t>(n);
-    }
-    const auto decoded = net::decode_frame_header(head, {});
-    ASSERT_TRUE(decoded.ok()) << decoded.error;
-    ASSERT_EQ(decoded.header.type, net::FrameType::kError);
-    std::string payload(decoded.header.payload_bytes, '\0');
-    got = 0;
-    while (got < payload.size()) {
-      const ssize_t n =
-          ::recv(fd, payload.data() + got, payload.size() - got, 0);
-      ASSERT_GT(n, 0);
-      got += static_cast<std::size_t>(n);
-    }
+  auto expect_error = [](int fd, net::WireStatus code) {
+    net::Frame frame;
+    std::string payload;
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+    ASSERT_EQ(frame.header.type, net::FrameType::kError);
     net::ErrorFrame error;
-    ASSERT_TRUE(net::decode_error(payload, error));
+    ASSERT_TRUE(net::decode_error(frame.payload, error));
     EXPECT_EQ(error.code, code);
     // After an error frame the server closes the connection (FIN or RST;
     // either way no further byte arrives).
-    char byte;
-    EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
-  };
-  auto send_all = [](int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<std::size_t>(n);
-    }
+    EXPECT_TRUE(peer_closed(fd));
   };
 
   {  // Garbage header: rejected as malformed from 20 bytes alone.
-    const int fd = dial();
-    send_all(fd, std::string(net::kFrameHeaderBytes, 'Z'));
+    const int fd = dial_raw(server.port());
+    send_raw(fd, std::string(net::kFrameHeaderBytes, 'Z'));
     expect_error(fd, net::WireStatus::kMalformed);
     ::close(fd);
   }
   {  // Unsupported version byte.
-    const int fd = dial();
+    const int fd = dial_raw(server.port());
     std::string frame = net::encode_frame(net::FrameType::kHello,
                                           net::encode_hello({}));
     frame[4] = 3;
-    send_all(fd, frame);
+    send_raw(fd, frame);
     expect_error(fd, net::WireStatus::kUnsupportedVersion);
     ::close(fd);
   }
   {  // Payload length beyond the server's limit: rejected pre-allocation.
-    const int fd = dial();
+    const int fd = dial_raw(server.port());
     std::string frame = net::encode_frame(net::FrameType::kQueryBatch, "");
     const std::uint32_t huge = net::WireLimits{}.max_payload_bytes + 1;
     std::memcpy(frame.data() + 8, &huge, sizeof(huge));
-    send_all(fd, frame);
+    send_raw(fd, frame);
     expect_error(fd, net::WireStatus::kOversized);
     ::close(fd);
   }
   {  // Corrupted payload: checksum mismatch.
-    const int fd = dial();
+    const int fd = dial_raw(server.port());
     std::string frame =
         net::encode_frame(net::FrameType::kQueryBatch,
                           net::encode_requests(std::vector<Request>(1)));
     frame.back() = static_cast<char>(frame.back() ^ 0x20);
-    send_all(fd, frame);
+    send_raw(fd, frame);
     expect_error(fd, net::WireStatus::kMalformed);
     ::close(fd);
   }
   {  // A reply-only frame type is not a valid request.
-    const int fd = dial();
-    send_all(fd, net::encode_frame(net::FrameType::kReplyBatch, ""));
+    const int fd = dial_raw(server.port());
+    send_raw(fd, net::encode_frame(net::FrameType::kReplyBatch, ""));
     expect_error(fd, net::WireStatus::kBadFrameType);
     ::close(fd);
   }
@@ -695,63 +819,20 @@ TEST(Wire, CountersFrameCarriesOptionalReplicaSection) {
 // (the stream desynced), not kProtocolError (the bytes were garbage) —
 // the satellite distinction a resyncing replica relies on.
 TEST(RouteClientNet, UnexpectedFrameTypeIsTypedDistinctFromCorruption) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::uint16_t port = 0;
+  const int listener = listen_raw(port);
   ASSERT_GE(listener, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const std::uint16_t port = ntohs(addr.sin_port);
 
   // A confused fake server: completes the handshake correctly, then
   // answers the query batch with a perfectly valid kDrainReply.
   std::thread impostor([listener] {
-    const int fd = ::accept(listener, nullptr, nullptr);
+    const int fd = accept_with_handshake(listener);
     ASSERT_GE(fd, 0);
-    auto read_frame = [fd]() {
-      std::string head(net::kFrameHeaderBytes, '\0');
-      std::size_t got = 0;
-      while (got < head.size()) {
-        const ssize_t n = ::recv(fd, head.data() + got, head.size() - got, 0);
-        ASSERT_GT(n, 0);
-        got += static_cast<std::size_t>(n);
-      }
-      const auto header = net::decode_frame_header(head, {});
-      ASSERT_TRUE(header.ok());
-      std::string payload(header.header.payload_bytes, '\0');
-      got = 0;
-      while (got < payload.size()) {
-        const ssize_t n =
-            ::recv(fd, payload.data() + got, payload.size() - got, 0);
-        ASSERT_GT(n, 0);
-        got += static_cast<std::size_t>(n);
-      }
-    };
-    auto write_frame = [fd](net::FrameType type, const std::string& payload) {
-      const std::string frame = net::encode_frame(type, payload);
-      std::size_t sent = 0;
-      while (sent < frame.size()) {
-        const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
-                                 MSG_NOSIGNAL);
-        ASSERT_GT(n, 0);
-        sent += static_cast<std::size_t>(n);
-      }
-    };
-    read_frame();  // kHello
-    net::HelloAck ack;
-    ack.node_count = 4;
-    ack.snapshot_version = 1;
-    ack.max_batch = 64;
-    write_frame(net::FrameType::kHelloAck, net::encode_hello_ack(ack));
-    read_frame();  // kQueryBatch
-    write_frame(net::FrameType::kDrainReply, net::encode_u64(1));
+    net::Frame frame;
+    std::string payload;
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload));  // kQueryBatch
+    send_raw(fd, net::encode_frame(net::FrameType::kDrainReply,
+                                   net::encode_u64(1)));
     ::close(fd);
   });
 
@@ -786,6 +867,380 @@ TEST(RouteServerNet, GracefulStopDrainsAndRefusesNewWork) {
   config.connect_attempts = 1;
   net::RouteClient late(config);
   EXPECT_FALSE(late.connect().ok());
+}
+
+// --- buffered frame stream -------------------------------------------------
+
+// The socket-free core: whatever the split points, the reader yields the
+// same validated frames — a large one through its exact-size allocation.
+TEST(FrameReader, ReassemblesFramesAcrossEverySplit) {
+  const std::vector<std::pair<net::FrameType, std::string>> frames = {
+      {net::FrameType::kQueryBatch,
+       net::encode_requests(std::vector<Request>(3))},
+      {net::FrameType::kDrain, ""},
+      {net::FrameType::kSnapshotChunk,
+       std::string(3 * net::FrameReader::kBufferBytes, 'c')},
+      {net::FrameType::kPublishNotify,
+       net::encode_publish_notify({4, 5, 6, 7})},
+  };
+  std::string stream;
+  for (const auto& [type, payload] : frames)
+    net::append_frame(stream, type, payload);
+
+  for (const std::size_t step :
+       {std::size_t{1}, std::size_t{7}, net::kFrameHeaderBytes,
+        net::kFrameHeaderBytes + 1, std::size_t{4096}, stream.size()}) {
+    net::FrameReader reader(net::WireLimits{});
+    std::vector<std::pair<net::FrameType, std::string>> got;
+    std::size_t fed = 0;
+    for (;;) {
+      net::Frame frame;
+      const auto status = reader.next(frame);
+      ASSERT_NE(status, net::FrameReader::Status::kRejected)
+          << reader.rejection();
+      if (status == net::FrameReader::Status::kFrame) {
+        got.emplace_back(frame.header.type, std::string(frame.payload));
+        continue;
+      }
+      if (fed == stream.size()) break;
+      const std::span<char> space = reader.space();
+      ASSERT_FALSE(space.empty());
+      const std::size_t n = std::min({step, space.size(), stream.size() - fed});
+      std::memcpy(space.data(), stream.data() + fed, n);
+      reader.commit(n);
+      fed += n;
+    }
+    EXPECT_EQ(got, frames) << "split every " << step << " bytes";
+    EXPECT_TRUE(reader.at_boundary());
+  }
+}
+
+TEST(FrameReader, RejectsBeforeAllocatingAndOnBadChecksum) {
+  const net::WireLimits limits;
+  {  // A length beyond the limit: rejected from the header alone, and the
+     // only writable space is still the fixed buffer.
+    std::string frame = net::encode_frame(net::FrameType::kQueryBatch, "");
+    const std::uint32_t huge = limits.max_payload_bytes + 1;
+    std::memcpy(frame.data() + 8, &huge, sizeof(huge));
+    net::FrameReader reader(limits);
+    const std::span<char> space = reader.space();
+    ASSERT_GE(space.size(), frame.size());
+    std::memcpy(space.data(), frame.data(), frame.size());
+    reader.commit(frame.size());
+    net::Frame out;
+    EXPECT_EQ(reader.next(out), net::FrameReader::Status::kRejected);
+    EXPECT_EQ(reader.rejection_status(), net::WireStatus::kOversized);
+    EXPECT_LE(reader.space().size(), net::FrameReader::kBufferBytes);
+    // Rejection is sticky: the stream cannot resynchronize.
+    EXPECT_EQ(reader.next(out), net::FrameReader::Status::kRejected);
+  }
+  {  // A corrupted payload byte fails the checksum, large frame or small.
+    for (const std::size_t size :
+         {std::size_t{40}, 2 * net::FrameReader::kBufferBytes}) {
+      std::string frame = net::encode_frame(net::FrameType::kSnapshotChunk,
+                                            std::string(size, 'p'));
+      frame.back() = 'q';
+      net::FrameReader reader(limits);
+      std::size_t fed = 0;
+      net::Frame out;
+      auto status = reader.next(out);
+      while (status == net::FrameReader::Status::kNeedMore &&
+             fed < frame.size()) {
+        const std::span<char> space = reader.space();
+        const std::size_t n = std::min(space.size(), frame.size() - fed);
+        std::memcpy(space.data(), frame.data() + fed, n);
+        reader.commit(n);
+        fed += n;
+        status = reader.next(out);
+      }
+      EXPECT_EQ(status, net::FrameReader::Status::kRejected) << size;
+      EXPECT_EQ(reader.rejection_status(), net::WireStatus::kMalformed);
+    }
+  }
+}
+
+TEST(FrameStreamNet, EightFramesInOneSendComeBackInOrderAndBitIdentical) {
+  const graph::Graph g = test::make_instance({"er", 20, 72, 10});
+  RouteService svc(g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  util::Rng rng(72);
+  const NodeId n = static_cast<NodeId>(g.node_count());
+  std::vector<std::vector<Request>> batches(8);
+  std::string burst;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (std::size_t q = 0; q <= b; ++q) {
+      Request r;
+      r.kind = static_cast<RequestKind>(1 + rng.below(6));
+      r.k = static_cast<NodeId>(rng.below(n));
+      r.i = static_cast<NodeId>(rng.below(n));
+      r.j = static_cast<NodeId>(rng.below(n));
+      batches[b].push_back(r);
+    }
+    net::append_frame(burst, net::FrameType::kQueryBatch,
+                      net::encode_requests(batches[b]));
+  }
+  send_raw(fd, burst);
+
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    net::Frame frame;
+    std::string payload;
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload)) << "reply " << b;
+    ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+    const auto remote = net::decode_replies(frame.payload, {});
+    ASSERT_TRUE(remote.ok()) << remote.error;
+    const auto local = svc.query(batches[b]);
+    ASSERT_EQ(remote.replies.size(), local.size()) << "reply " << b;
+    for (std::size_t q = 0; q < local.size(); ++q)
+      EXPECT_TRUE(service::same_answer(remote.replies[q], local[q]))
+          << "frame " << b << " answer " << q << " diverged";
+  }
+  EXPECT_EQ(server.stats().batches, batches.size());
+  ::close(fd);
+}
+
+TEST(FrameStreamNet, PipelinedWriteAndDrainFlushBeforeTheNextQuery) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::vector<Request> probe{{RequestKind::kCost, kInvalidNode, f.x, f.z}};
+  const std::vector<RouteService::Delta> write{
+      RouteService::Delta::cost_change(f.b, Cost{10})};
+  graph::Graph mutated = f.g;
+  mutated.set_cost(f.b, Cost{10});
+  const Cost before = svc.cost(f.x, f.z);
+  const Cost after = mechanism::VcgMechanism(mutated).routes().cost(f.x, f.z);
+  ASSERT_NE(before, after);
+
+  std::string burst;
+  net::append_frame(burst, net::FrameType::kQueryBatch,
+                    net::encode_requests(probe));
+  net::append_frame(burst, net::FrameType::kDeltaSubmit,
+                    net::encode_deltas(write));
+  net::append_frame(burst, net::FrameType::kDrain, "");
+  net::append_frame(burst, net::FrameType::kQueryBatch,
+                    net::encode_requests(probe));
+  send_raw(fd, burst);
+
+  net::Frame frame;
+  std::string payload;
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+  auto first = net::decode_replies(frame.payload, {});
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.replies.front().value, before);
+
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kDeltaAck);
+  net::DeltaAck ack;
+  ASSERT_TRUE(net::decode_delta_ack(frame.payload, ack));
+  EXPECT_EQ(ack.accepted, 1u);
+
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kDrainReply);
+
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+  auto last = net::decode_replies(frame.payload, {});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.replies.front().value, after);  // the write is visible
+  EXPECT_TRUE(service::same_answer(last.replies.front(),
+                                   svc.query(probe).front()));
+  ::close(fd);
+}
+
+TEST(FrameStreamNet, FrameDribbledOneBytePerSendIsAnswered) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::vector<Request> probe{{RequestKind::kPrice, f.d, f.x, f.z}};
+  const std::string frame_bytes = net::encode_frame(
+      net::FrameType::kQueryBatch, net::encode_requests(probe));
+  for (const char byte : frame_bytes) {
+    send_raw(fd, std::string_view(&byte, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  net::Frame frame;
+  std::string payload;
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+  const auto replies = net::decode_replies(frame.payload, {});
+  ASSERT_TRUE(replies.ok());
+  EXPECT_EQ(replies.replies.front().value, Cost{3});  // p^D_XZ
+  ::close(fd);
+}
+
+TEST(FrameStreamNet, HeaderStalledMidwayTimesOut) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::ServerConfig config;
+  config.read_timeout_ms = 150;
+  net::RouteServer server(svc, config);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::string frame_bytes = net::encode_frame(
+      net::FrameType::kQueryBatch,
+      net::encode_requests(std::vector<Request>(1)));
+  send_raw(fd, std::string_view(frame_bytes).substr(0, 10));
+  // No reply and no error frame: the server gives up on the deadline and
+  // closes.
+  EXPECT_TRUE(peer_closed(fd));
+  EXPECT_EQ(server.stats().timeouts, 1u);
+  EXPECT_EQ(server.stats().rejected_frames, 0u);
+  ::close(fd);
+}
+
+TEST(FrameStreamNet, EachFramePhaseGetsItsOwnDeadline) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::ServerConfig config;
+  config.read_timeout_ms = 400;
+  net::RouteServer server(svc, config);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::vector<Request> probe{{RequestKind::kCost, kInvalidNode, f.x, f.z}};
+  const std::string frame_bytes = net::encode_frame(
+      net::FrameType::kQueryBatch, net::encode_requests(probe));
+  // Idle, then the header, then the payload, each pause inside its own
+  // deadline but together longer than one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  send_raw(fd, std::string_view(frame_bytes).substr(0, net::kFrameHeaderBytes));
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  send_raw(fd, std::string_view(frame_bytes).substr(net::kFrameHeaderBytes));
+
+  net::Frame frame;
+  std::string payload;
+  ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+  ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+  const auto replies = net::decode_replies(frame.payload, {});
+  ASSERT_TRUE(replies.ok());
+  EXPECT_EQ(replies.replies.front().value, Cost{3});
+  EXPECT_EQ(server.stats().timeouts, 0u);
+  ::close(fd);
+}
+
+TEST(FrameStreamNet, ValidFrameThenBadHeaderInOneSegment) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+
+  const std::vector<Request> probe{{RequestKind::kCost, kInvalidNode, f.x, f.z}};
+  std::string oversized = net::encode_frame(net::FrameType::kQueryBatch, "");
+  const std::uint32_t huge = net::WireLimits{}.max_payload_bytes + 1;
+  std::memcpy(oversized.data() + 8, &huge, sizeof(huge));
+  const std::pair<std::string, net::WireStatus> tails[] = {
+      {std::string(net::kFrameHeaderBytes, 'Z'), net::WireStatus::kMalformed},
+      {oversized, net::WireStatus::kOversized},
+  };
+  for (const auto& [tail, code] : tails) {
+    const int fd = dial_raw(server.port());
+    ASSERT_GE(fd, 0);
+    std::string burst = net::encode_frame(net::FrameType::kQueryBatch,
+                                          net::encode_requests(probe));
+    burst += tail;
+    send_raw(fd, burst);
+
+    net::Frame frame;
+    std::string payload;
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+    ASSERT_EQ(frame.header.type, net::FrameType::kReplyBatch);
+    const auto replies = net::decode_replies(frame.payload, {});
+    ASSERT_TRUE(replies.ok());
+    EXPECT_EQ(replies.replies.front().value, Cost{3});
+
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload));
+    ASSERT_EQ(frame.header.type, net::FrameType::kError);
+    net::ErrorFrame error;
+    ASSERT_TRUE(net::decode_error(frame.payload, error));
+    EXPECT_EQ(error.code, code);
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+  }
+  EXPECT_EQ(server.stats().rejected_frames, 2u);
+}
+
+TEST(FrameStreamNet, TwoNotifiesInOneSegmentAreBothReturned) {
+  std::uint16_t port = 0;
+  const int listener = listen_raw(port);
+  ASSERT_GE(listener, 0);
+
+  // A scripted publisher: handshake, then the subscription ack and two
+  // notifies in a single send, then it waits for the client to hang up.
+  std::thread publisher([listener] {
+    const int fd = accept_with_handshake(listener);
+    ASSERT_GE(fd, 0);
+    net::Frame frame;
+    std::string payload;
+    ASSERT_TRUE(recv_raw_frame(fd, frame, payload));  // kSubscribe
+    std::string burst;
+    for (std::uint64_t count = 1; count <= 3; ++count)
+      net::append_frame(burst, net::FrameType::kPublishNotify,
+                        net::encode_publish_notify({count, 0, count, 0}));
+    send_raw(fd, burst);
+    char byte;
+    ::recv(fd, &byte, 1, 0);  // until the client closes
+    ::close(fd);
+  });
+
+  net::ClientConfig config;
+  config.port = port;
+  net::RouteClient client(config);
+  ASSERT_TRUE(client.connect().ok());
+  const auto sub = client.subscribe(0);
+  ASSERT_TRUE(sub.ok()) << sub.error.message;
+  EXPECT_EQ(sub.notify.publish_count, 1u);
+  const auto second = client.await_notify(0);
+  ASSERT_TRUE(second.ok()) << second.error.message;
+  EXPECT_EQ(second.notify.publish_count, 2u);
+  const auto third = client.await_notify(0);
+  ASSERT_TRUE(third.ok()) << third.error.message;
+  EXPECT_EQ(third.notify.publish_count, 3u);
+  // Then silence: a timeout that leaves the subscription intact.
+  const auto quiet = client.await_notify(0);
+  EXPECT_EQ(quiet.error.status, net::ClientStatus::kTimeout);
+  EXPECT_TRUE(client.connected());
+
+  client.close();
+  publisher.join();
+  ::close(listener);
+}
+
+// A subscribed peer must send nothing. A stray byte that arrives in the
+// same segment as kSubscribe sits in the server's receive buffer, where a
+// poll() on the socket cannot see it; it must still end the subscription.
+TEST(FrameStreamNet, ByteBufferedBehindSubscribeEndsTheSubscription) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok());
+  const int fd = dial_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  std::string burst =
+      net::encode_frame(net::FrameType::kSubscribe, net::encode_u64(0));
+  burst += 'x';
+  send_raw(fd, burst);
+  // An orderly close (recv == 0), not the 5 s receive timeout a live
+  // subscription would run into.
+  char byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
 }
 
 // --- warm start ------------------------------------------------------------
